@@ -459,9 +459,10 @@ let n_sweep () =
    hash-consed IR and the shared DP table buy: wall-clock of the select-emit
    phase (cold = per-node memo cleared before each pass, warm = memo kept
    across passes) plus the matcher/variant counters, written as
-   BENCH_selection.json.  The table engine's offline automaton survives a
-   clear by design — its construction cost is reported separately as
-   table_build_ms, not smeared into every cold pass.  The
+   BENCH_selection.json.  The table engine's automaton states and
+   transitions survive a clear by design — the demand-build cost of the
+   first pass is reported separately as table_build_ms, not smeared into
+   every cold pass.  The
    seed_baseline entry is the pre-hashcons compiler measured the same way
    (mean select-emit per Table-1 pass at limit 64), kept so the artifact
    documents the claim: limit 512 with sharing beats limit 64 without it. *)
@@ -539,9 +540,9 @@ let selection_sweep ~reps () =
        the pre-hashcons baseline had no analogue of, so cold passes measure
        matcher labelling, not tree interning.  Cold means cold labelling:
        the per-node memo (DP table or automaton slot table) is dropped
-       before each pass.  The table engine's states and transitions
-       survive — that is the point of the offline automaton, and their
-       one-time construction cost is reported as table_build_ms. *)
+       before each pass.  The table engine's states and transitions,
+       built on demand by this pass, survive — their one-time
+       construction cost is reported as table_build_ms. *)
     let _, words, per, sel = pass matcher in
     let mean times =
       Array.fold_left ( +. ) 0.0 times /. float (Array.length times)

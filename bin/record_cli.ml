@@ -110,8 +110,9 @@ let matcher_enum =
 
 let matcher_doc =
   "Labelling engine: $(b,table) (default) labels each node with one \
-   precomputed BURS automaton transition, $(b,dp) runs the on-demand \
-   dynamic-programming labeller; covers are byte-identical either way"
+   BURS automaton transition, built the first time it is needed and \
+   reused after, $(b,dp) runs the per-node dynamic-programming \
+   labeller; covers are byte-identical either way"
 
 let matcher_arg =
   Arg.(

@@ -1,13 +1,15 @@
-(** Table-driven BURS automaton: the offline half of the matcher.
+(** Table-driven BURS automaton, built on demand.
 
-    [create] compiles a {!Grammar} into a tree automaton once per target:
-    itemset states (one item per derivable nonterminal, cost stored as a
-    {e delta} over the state's cheapest item), chain-rule closure folded
-    into the states, and per-operator transition tables keyed on child
-    states.  Labelling a subject tree is then a single bottom-up pass
+    A {!Grammar} compiles into a tree automaton: itemset states (one item
+    per derivable nonterminal, cost stored as a {e delta} over the
+    state's cheapest item), chain-rule closure folded into the states,
+    and per-operator transition tables keyed on child states.  [create]
+    only normalizes the rules; each state and transition is built, under
+    a construction lock, the first time a subject tree needs it, and is
+    reused by every later tree.  Labelling is a single bottom-up pass
     that assigns each hash-cons id a packed [(base, state)] slot in a
-    lock-free {!Ir.Idtab} — one int load per revisited node, no hashing,
-    no per-node DP.
+    lock-free {!Ir.Idtab} — one int load per revisited node, no per-node
+    DP.
 
     Multi-level patterns are normalized into one-level rules over fresh
     internal "fragment" nonterminals (cost 0, never exposed), so a
@@ -21,7 +23,7 @@
     into the transition signature, so memoized transitions never merge
     nodes that a guard would distinguish.  Guard and [dyn_cost] functions
     must be pure and total: they may be evaluated on trees the grammar
-    never selects for (transition-signature probes, offline warm-up).
+    never selects for (transition-signature probes).
 
     Costs, tie-breaks (earlier rule wins), and chain-closure order are
     byte-compatible with the DP labeller in {!Matcher}: both engines
@@ -30,22 +32,28 @@
 type t
 
 val create : Grammar.t -> t
-(** Builds the automaton and warms it offline: representative trees are
-    driven through every operator of the grammar until the state/
-    transition tables stop growing (bounded), so serve-pool domains
-    labelling real programs almost never take the construction lock.
+(** Normalizes the grammar into one-level rules and returns an empty
+    automaton: no state, no transition, nothing labelled.  States and
+    transitions are built as labelling first reaches them.
     @raise Invalid_argument if a nonterminal collides with the internal
-    fragment namespace or a dynamic cost drives a derivation negative. *)
+    fragment namespace. *)
 
 val grammar : t -> Grammar.t
 
 (** {1 Labelling} *)
 
+(** Every labelling function below builds the states and transitions it
+    is missing.  Each raises [Invalid_argument] if a dynamic cost drives
+    a derivation cost negative. *)
+
 val state_key : t -> Ir.Hashcons.h -> int
 (** The packed [(cost base, state id)] slot of the subtree — a single
     non-zero int.  Two subtrees with equal keys derive exactly the same
     nonterminals at exactly the same costs (and with the same winning
-    rules), so one can stand in for the other during variant search. *)
+    rules), so one can stand in for the other during variant search.
+    State ids are numbered in the order labelling first reaches them, so
+    keys are comparable only within one automaton; which subtrees share
+    a key does not depend on that order. *)
 
 val label : t -> Ir.Hashcons.h -> (string * int) list
 (** Derivable (real) nonterminals with their best costs, sorted by
@@ -65,9 +73,8 @@ val state_count : t -> int
 val transition_count : t -> int
 
 val build_ms : t -> float
-(** Wall-clock milliseconds spent constructing states and transitions:
-    the [create]-time warm-up plus any residual demand-built transitions
-    (first time a node shape is seen). *)
+(** Wall-clock milliseconds spent building states and transitions on
+    demand, accumulated under the construction lock. *)
 
 val nodes_labelled : t -> int
 (** Distinct hash-cons ids assigned a state (volatile counter). *)
@@ -76,8 +83,8 @@ val memo_hits : t -> int
 (** Labelling probes answered by the slot table (volatile counter). *)
 
 val clear : t -> unit
-(** Drop the per-id slot table only; states and transitions — the
-    offline tables — survive, so relabelling is pure table lookup. *)
+(** Drop the per-id slot table only; states and transitions survive, so
+    relabelling already-seen shapes is pure table lookup. *)
 
 (** {1 Diagnostics} *)
 

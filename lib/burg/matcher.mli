@@ -21,12 +21,13 @@ type t
 
 type engine =
   | Dp  (** the original on-demand DP labeller (reference/fallback) *)
-  | Table  (** the {!Burs} automaton: offline tables, lock-free slots *)
+  | Table  (** the {!Burs} automaton: demand-built tables, lock-free slots *)
 
 val create : ?engine:engine -> Grammar.t -> t
-(** Builds a matcher for the grammar. The default engine is [Table]: the
-    BURS automaton is constructed (and warmed) here, so long-lived
-    matchers — one per target, shared by the serve pool — pay it once. *)
+(** Builds a matcher for the grammar. The default engine is [Table]: an
+    empty BURS automaton whose states and transitions are built as
+    labelling first needs them, so long-lived matchers — one per target,
+    shared by the serve pool — pay for each state once. *)
 
 val engine : t -> engine
 val engine_name : engine -> string
@@ -49,7 +50,8 @@ val transition_count : t -> int
 (** Automaton transitions memoized ([Table]; 0 on [Dp]). *)
 
 val table_build_ms : t -> float
-(** Wall-clock ms spent building the offline tables ([Table]; 0 on [Dp]). *)
+(** Wall-clock ms spent building automaton states and transitions on
+    demand ([Table]; 0 on [Dp]). *)
 
 type counters = {
   nodes_labelled : int;

@@ -15,7 +15,9 @@ val executable_salt : unit -> string
 
 val machine_fingerprint : Target.Machine.t -> string
 (** Digest of the machine's structural identity: name, word width, banks,
-    modes, selection grammar, and register file. *)
+    modes, selection grammar, and register file.  Memoized per machine
+    name while the grammar and register file are physically the ones
+    first fingerprinted. Domain-safe. *)
 
 val make :
   ?salt:string ->

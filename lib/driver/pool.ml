@@ -44,10 +44,6 @@ let worker queue () =
 
 let create ?domains () =
   let n = max 1 (match domains with Some d -> d | None -> default_domains ()) in
-  (* Build every lazily-initialized shared structure (machine list, one
-     matcher per target) before any worker exists, so workers only ever
-     read them. *)
-  Registry.warm ();
   let queue =
     {
       q = Queue.create ();

@@ -20,9 +20,9 @@ val default_domains : unit -> int
     for the submitting/coordinating domain. *)
 
 val create : ?domains:int -> unit -> t
-(** Spawn the worker domains (default {!default_domains}). Shared lazy
-    state (machine registry, per-target matchers) is forced before any
-    worker starts. *)
+(** Spawn the worker domains (default {!default_domains}). Shared state
+    (machine registry, per-target matchers) is built on first use, behind
+    the registry's mutex; nothing is built up front. *)
 
 val size : t -> int
 (** Worker domains in the pool. *)

@@ -68,13 +68,3 @@ let matcher_for ?(engine = Burg.Matcher.Table) (m : Target.Machine.t) =
         let mt = Burg.Matcher.create ~engine m.Target.Machine.grammar in
         Hashtbl.replace matchers (m.name, engine) mt;
         mt)
-
-let warm () =
-  List.iter
-    (fun m ->
-      (* Both engines: the table-driven automaton (with its offline state
-         construction) and the DP fallback, so worker domains never pay
-         either build on the hot path. *)
-      ignore (matcher_for ~engine:Burg.Matcher.Table m);
-      ignore (matcher_for ~engine:Burg.Matcher.Dp m))
-    (machines ())

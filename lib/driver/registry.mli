@@ -34,9 +34,3 @@ val matcher_for :
     physically the one already registered under that (name, engine) key.
     Domain-safe: lookups are serialized behind the registry mutex, and
     the matchers themselves are safe to share across domains. *)
-
-val warm : unit -> unit
-(** Force the machine list and build both engines' matchers for every
-    bundled target — including the BURS automata's offline state-table
-    construction. The serve pool calls this once before spawning worker
-    domains so the hot path never constructs shared state concurrently. *)

@@ -27,8 +27,15 @@ let nt n = Burg.Pattern.Nonterm n
 let binop op a b = Burg.Pattern.Binop (op, a, b)
 let unop op a = Burg.Pattern.Unop (op, a)
 
+(* Immediate-operand guards see through a [Sat] root: the saturating
+   twins below are rooted at [Unop (Sat, ...)], and a guard that only
+   matched the bare operator would always fail there, handing the cost
+   tie to the plain opcode plus the zero-cost [sat_id] chain, which drops
+   the saturation. *)
 let imm8 = function
-  | Ir.Tree.Binop (_, _, Ir.Tree.Const k) -> k >= 0 && k <= 255
+  | Ir.Tree.Binop (_, _, Ir.Tree.Const k)
+  | Ir.Tree.Unop (Ir.Op.Sat, Ir.Tree.Binop (_, _, Ir.Tree.Const k)) ->
+    k >= 0 && k <= 255
   | _ -> false
 
 let shift_amount = function

@@ -407,6 +407,112 @@ let suites =
         ] );
     ]
 
+(* ---- Demand-built automaton ---------------------------------------------- *)
+
+(* [create] only normalizes the grammar: every state and transition is
+   built by the first labelling that needs it. *)
+let test_create_is_empty () =
+  List.iter
+    (fun g ->
+      let a = Burg.Burs.create g in
+      let name = g.Burg.Grammar.name in
+      Alcotest.(check int) (name ^ ": states") 0 (Burg.Burs.state_count a);
+      Alcotest.(check int) (name ^ ": transitions") 0
+        (Burg.Burs.transition_count a);
+      Alcotest.(check int) (name ^ ": nodes labelled") 0
+        (Burg.Burs.nodes_labelled a);
+      ignore (Burg.Burs.state_key a (Ir.Hashcons.intern Ir.Tree.(var "x" + const 3)));
+      Alcotest.(check bool) (name ^ ": first labelling builds") true
+        (Burg.Burs.state_count a > 0 && Burg.Burs.transition_count a > 0))
+    (fig4
+    :: List.map
+         (fun (m : Target.Machine.t) -> m.grammar)
+         Target.
+           [
+             Tic25.machine; Dsp56.machine; Risc32.machine;
+             Asip.machine Asip.default;
+           ])
+
+let prog_trees p = List.map (fun (s : Ir.Prog.stmt) -> s.src) (Ir.Prog.stmts p)
+
+(* State ids are numbered in the order labelling first reaches them, so
+   two automata fed the same trees in opposite orders number their states
+   differently.  Everything observable must still agree: costs, covers,
+   and which subtrees share a state key — the invariant state-equivalence
+   pruning rests on. *)
+let test_order_independent () =
+  let g = Target.Tic25.machine.Target.Machine.grammar in
+  let fuzz =
+    Fuzz.Gen.cases ~seed:13 ~count:60 ()
+    |> List.concat_map (fun (c : Fuzz.Gen.case) -> prog_trees c.prog)
+    |> List.filteri (fun i _ -> i < 200)
+  in
+  let table1 =
+    List.concat_map
+      (fun k -> prog_trees (Dspstone.Kernels.prog k))
+      Dspstone.Kernels.all
+  in
+  Alcotest.(check int) "200 fuzz trees" 200 (List.length fuzz);
+  let hs = Array.of_list (List.map Ir.Hashcons.intern (table1 @ fuzz)) in
+  let n = Array.length hs in
+  let run order =
+    let a = Burg.Burs.create g in
+    let out = Array.make n (0, None, None) in
+    List.iter
+      (fun i ->
+        let h = hs.(i) in
+        out.(i) <-
+          ( Burg.Burs.state_key a h,
+            Burg.Burs.best_cost a h,
+            Burg.Burs.best_cover a h ))
+      order;
+    out
+  in
+  let fwd = run (List.init n Fun.id) in
+  let rev = run (List.init n (fun i -> n - 1 - i)) in
+  (* Canonical class per key, numbered by first occurrence in tree order:
+     equal class lists mean equal partitions. *)
+  let classes out =
+    let ids = Hashtbl.create 64 in
+    Array.map
+      (fun (k, _, _) ->
+        match Hashtbl.find_opt ids k with
+        | Some c -> c
+        | None ->
+          let c = Hashtbl.length ids in
+          Hashtbl.add ids k c;
+          c)
+      out
+  in
+  Alcotest.(check bool) "the two orders numbered states differently" true
+    (Array.exists2 (fun (kf, _, _) (kr, _, _) -> kf <> kr) fwd rev);
+  Alcotest.(check (array int)) "same state-key partition" (classes fwd)
+    (classes rev);
+  Array.iteri
+    (fun i (_, cost_f, cover_f) ->
+      let _, cost_r, cover_r = rev.(i) in
+      let s = Ir.Tree.to_string hs.(i).Ir.Hashcons.node in
+      Alcotest.(check (option int)) ("cost: " ^ s) cost_f cost_r;
+      match (cover_f, cover_r) with
+      | None, None -> ()
+      | Some cf, Some cr ->
+        Alcotest.(check bool) ("identical cover: " ^ s) true (cover_equal cf cr)
+      | Some _, None | None, Some _ ->
+        Alcotest.fail ("cover found in one order only: " ^ s))
+    fwd
+
+let suites =
+  suites
+  @ [
+      ( "burs.demand",
+        [
+          Alcotest.test_case "create builds no state" `Quick
+            test_create_is_empty;
+          Alcotest.test_case "labelling order independent" `Quick
+            test_order_independent;
+        ] );
+    ]
+
 (* ---- Degenerate-grammar diagnostics (Burs.diagnose) ---------------------- *)
 
 let has_diag p diags = List.exists p diags

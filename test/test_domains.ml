@@ -54,29 +54,45 @@ let test_concurrent_interning_agrees () =
     (List.map (fun i -> (Ir.Hashcons.intern (tree i)).Ir.Hashcons.id) indices)
 
 let test_concurrent_matcher_labelling () =
-  (* Domains racing on one matcher's DP table must all see the same
-     optimal covers as a fresh single-domain matcher. *)
+  (* Domains racing on one never-labelled automaton all build its states
+     and transitions through the construction lock at once; every domain
+     must see the same optimal covers as a fresh single-domain matcher. *)
   let grammar = Target.Tic25.machine.Target.Machine.grammar in
   let shared = Burg.Matcher.create grammar in
-  let trees = List.init 32 tree in
-  let cost m t =
-    Option.map Burg.Cover.cost (Burg.Matcher.best m t)
+  Alcotest.(check int) "shared automaton starts empty" 0
+    (Burg.Matcher.transition_count shared);
+  let fuzz =
+    Fuzz.Gen.cases ~seed:29 ~count:24 ()
+    |> List.concat_map (fun (c : Fuzz.Gen.case) -> Ir.Prog.stmts c.prog)
+    |> List.map (fun (s : Ir.Prog.stmt) -> s.src)
   in
+  let trees = List.init 32 tree @ fuzz in
+  let best m t =
+    Option.map
+      (fun c -> (Burg.Cover.cost c, Burg.Cover.to_string c))
+      (Burg.Matcher.best m t)
+  in
+  let n_domains = 4 in
+  let ready = Atomic.make 0 in
   let domains =
-    Array.init 4 (fun k ->
-        Domain.spawn (fun () -> List.map (cost shared) (rotate k trees)
-                                |> fun cs ->
-                                List.combine (rotate k trees) cs
-                                |> List.map snd))
+    Array.init n_domains (fun k ->
+        Domain.spawn (fun () ->
+            (* Start together, so the first transitions are built under
+               contention rather than by whichever domain spawned first. *)
+            Atomic.incr ready;
+            while Atomic.get ready < n_domains do
+              Domain.cpu_relax ()
+            done;
+            List.map (best shared) (rotate k trees)))
   in
-  (* rotate reorders both trees and costs identically, so re-sorting is
+  (* rotate reorders both trees and results identically, so re-sorting is
      unnecessary: compare against the same rotation of the reference. *)
-  let reference = List.map (cost (Burg.Matcher.create grammar)) trees in
+  let reference = List.map (best (Burg.Matcher.create grammar)) trees in
   Array.iteri
-    (fun k costs ->
-      Alcotest.(check (list (option int)))
+    (fun k results ->
+      Alcotest.(check (list (option (pair int string))))
         (Printf.sprintf "domain %d matches a fresh matcher" k)
-        (rotate k reference) costs)
+        (rotate k reference) results)
     (Array.map Domain.join domains)
 
 (* ---- pool vs sequential batch --------------------------------------------- *)

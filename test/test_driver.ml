@@ -84,6 +84,33 @@ let test_key_invalidation () =
   Alcotest.(check bool) "version-salt change invalidates" false
     (base = k ~salt:"next-compiler-version" tic25 Record.Options.record_)
 
+(* Keys are pinned: an on-disk cache, and any tool that derives record's
+   keys itself, keep hitting only while the key of a given input stays
+   byte-identical.  The machine fingerprint inside the key is memoized per
+   machine name; a second machine reusing a name with a different grammar
+   must not pick up the first one's fingerprint. *)
+let test_key_golden () =
+  let prog = Dspstone.Kernels.prog (Dspstone.Kernels.find "fir") in
+  let options = Record.Options.record_ in
+  let key machine = Driver.Key.make ~salt:"golden" ~machine ~options prog in
+  let p = Dse.Sample.point ~seed:1 0 in
+  let asip = Target.Asip.machine ~name:p.Dse.Sample.name p.Dse.Sample.params in
+  Alcotest.(check string) "sampled asip name" "asip-a1m1c0s1i4r7"
+    p.Dse.Sample.name;
+  for _ = 1 to 2 do
+    Alcotest.(check string) "fir x tic25" "50d7cb55019af1034269372e87263ae5"
+      (key Target.Tic25.machine);
+    Alcotest.(check string) "fir x sampled asip"
+      "722aee747b016719073a6324bdf56d85" (key asip)
+  done;
+  let renamed =
+    Target.Asip.machine ~name:p.Dse.Sample.name Target.Asip.default
+  in
+  Alcotest.(check bool) "same name, other grammar keys apart" false
+    (key renamed = key asip);
+  Alcotest.(check string) "memo entry replaced, not stale"
+    "722aee747b016719073a6324bdf56d85" (key asip)
+
 (* ---- cache --------------------------------------------------------------- *)
 
 (* [phase_trace:false] when [b] is a genuine recompile: spans are wall-clock
@@ -414,6 +441,7 @@ let suites =
           test_prog_digest_structural;
         Alcotest.test_case "options fingerprint" `Quick test_options_fingerprint;
         Alcotest.test_case "key invalidation" `Quick test_key_invalidation;
+        Alcotest.test_case "key golden values" `Quick test_key_golden;
       ] );
     ( "driver.cache",
       [

@@ -204,6 +204,54 @@ let test_sat () =
         (check_both machine p_sat [ ("a", [| 30000 |]); ("b", [| 20000 |]) ]))
     (machines ())
 
+(* Saturating add/subtract of an immediate.  The C25's [sat_addk]/
+   [sat_subk] are rooted at [sat], and a guard that only looked at a bare
+   [add]/[sub] root let the plain ADDK plus the zero-cost [sat_id] chain
+   win the cost tie, dropping the saturation.  The first program is the
+   minimal repro; the sweep puts every edge of the 8-bit immediate range
+   (and one value past it) on both saturating and in-range inputs. *)
+let sat_imm_programs =
+  let repro =
+    "program satk; input q[2]; output r[4];\n\
+     begin r[2] = sat((32767 + 6)); r[3] = sat((q[0] + 4)); end"
+  in
+  let sweep k =
+    Printf.sprintf
+      "program sat%d; input q[2]; output r[4];\n\
+       begin\n\
+      \  r[0] = sat(q[0] + %d); r[1] = sat(q[1] - %d);\n\
+      \  r[2] = sat((32767 + %d)); r[3] = sat((q[0] - %d));\n\
+       end"
+      k k k k k
+  in
+  repro :: List.map sweep [ 0; 1; 2; 4; 127; 128; 254; 255; 256 ]
+
+let test_sat_immediates () =
+  let input_sets =
+    [ [| 32767; -32768 |]; [| 0; 0 |]; [| -32768; 32767 |]; [| 100; -100 |] ]
+  in
+  List.iter
+    (fun src ->
+      let prog = Dfl.Lower.source src in
+      List.iter
+        (fun machine ->
+          let compiled = Record.Pipeline.compile machine prog in
+          List.iter
+            (fun q ->
+              let inputs = [ ("q", q) ] in
+              let got, _ = Record.Pipeline.execute compiled ~inputs in
+              List.iter
+                (fun (name, values) ->
+                  Alcotest.(check (array int))
+                    (Printf.sprintf "%s/%s q=[%d;%d] %s"
+                       machine.Target.Machine.name prog.Ir.Prog.name q.(0)
+                       q.(1) name)
+                    values (List.assoc name got))
+                (Ir.Eval.run_with_inputs prog inputs))
+            input_sets)
+        (machines ()))
+    sat_imm_programs
+
 let test_shift_scale () =
   List.iter
     (fun machine ->
@@ -261,6 +309,7 @@ let suites =
         Alcotest.test_case "loop sum" `Quick test_loop_sum;
         Alcotest.test_case "dot product" `Quick test_dot;
         Alcotest.test_case "saturation" `Quick test_sat;
+        Alcotest.test_case "saturating immediates" `Quick test_sat_immediates;
         Alcotest.test_case "shift scale" `Quick test_shift_scale;
         Alcotest.test_case "nested loops" `Quick test_nested_loops;
         Alcotest.test_case "record never larger" `Quick test_record_not_larger;
